@@ -6,9 +6,10 @@
 //  1. sketch-merge plane — a synthetic proxy inbox: L component labels, each
 //     receiving one serialized part-sketch from each of `kParts` machines per
 //     iteration. The merge loop is exactly the engine's proxy-side summation
-//     (label lookup -> accumulator -> cell-wise add of the serialized words);
-//     reported as merge words/s and allocations/iteration, measured after a
-//     warmup so capacity-retaining structures are warm.
+//     (sort the messages by label -> sum each label's trimmed images into
+//     one reused sampler -> transition); reported as merge words/s, the
+//     mean words per sketch image, and allocations/iteration, measured after
+//     a warmup so capacity-retaining structures are warm.
 //
 //  2. full engine — connectivity and MST runs with allocations/superstep,
 //     the end-to-end number the registry/pool rework moves.
@@ -16,6 +17,7 @@
 // Compare against bench/baselines/BENCH_boruvka_hotpath.pre-registry.json
 // (captured from the std::map + per-message-deserialize representation).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -64,35 +66,39 @@ std::vector<std::vector<std::uint64_t>> build_inbox(const GraphSketchBuilder& bu
   return inbox;
 }
 
-/// One proxy-side merge pass over the inbox — the registry representation:
-/// pooled accumulators behind a flat LabelRegistry, each incoming sketch's
-/// cells added wire-level via add_serialized (no per-message deserialize).
+/// Sketch words in the inbox (label words excluded).
+std::size_t sketch_words(const std::vector<std::vector<std::uint64_t>>& inbox) {
+  std::size_t total = 0;
+  for (const auto& msg : inbox) total += msg.size() - 1;
+  return total;
+}
+
+/// One proxy-side merge pass over the inbox, as the engine does it: sort
+/// (label, message) pairs, then sum each label's images wire-level via
+/// add_serialized into the one reused sampler (no per-message deserialize,
+/// no per-label accumulator).
 MergeRow run_merge(const GraphSketchBuilder& builder,
                    const std::vector<std::vector<std::uint64_t>>& inbox) {
   MergeRow row;
-  std::size_t total_words = 0;
-  for (const auto& msg : inbox) total_words += msg.size() - 1;
+  const std::size_t total_words = sketch_words(inbox);
 
-  LabelRegistry<std::uint32_t> sums;
-  sums.reset_universe(kLabels);
-  SketchPool pool;
+  L0Sampler sum = builder.empty_sketch();
+  std::vector<std::pair<Label, std::uint32_t>> order;
 
   const auto iteration = [&]() {
-    sums.clear();
-    pool.release_all();
-    for (const auto& msg : inbox) {
-      WordReader r(msg);
-      const Label label = r.u64();
-      bool created = false;
-      std::uint32_t& idx = sums.get_or_create(label, created);
-      if (created) {
-        idx = pool.acquire_index(builder.universe(), builder.params(), builder.seed());
+    order.clear();
+    for (std::uint32_t m = 0; m < inbox.size(); ++m) order.emplace_back(inbox[m][0], m);
+    std::sort(order.begin(), order.end());
+    for (std::size_t lo = 0; lo < order.size();) {
+      const Label label = order[lo].first;
+      sum.reset(builder.seed());
+      for (; lo < order.size() && order[lo].first == label; ++lo) {
+        WordReader r(inbox[order[lo].second]);
+        (void)r.u64();
+        sum.add_serialized(r);
       }
-      pool.at(idx).add_serialized(r);
+      row.checksum += sum.is_zero() ? 0 : 1 + label;
     }
-    sums.for_each_sorted([&](Label label, std::uint32_t idx) {
-      row.checksum += pool.at(idx).is_zero() ? 0 : 1 + label;
-    });
   };
 
   for (std::size_t i = 0; i < kWarmupIters; ++i) iteration();
@@ -123,11 +129,13 @@ int main() {
   const DistributedGraph dg(g, VertexPartition::random(kSketchN, kParts, 7));
   const GraphSketchBuilder builder(kSketchN, /*seed=*/11);
   const auto inbox = build_inbox(builder, dg);
-  std::size_t words_per_msg = inbox.front().size() - 1;
+  // Trimmed images vary in length: report the mean over the inbox.
+  const double words_per_msg =
+      static_cast<double>(sketch_words(inbox)) / static_cast<double>(inbox.size());
 
   const auto merge = run_merge(builder, inbox);
-  std::printf("\nsketch-merge plane: %zu labels x %zu parts, %zu words/sketch\n", kLabels,
-              kParts, words_per_msg);
+  std::printf("\nsketch-merge plane: %zu labels x %zu parts, %.1f words/sketch (mean)\n",
+              kLabels, kParts, words_per_msg);
   std::printf("%12s %16s %18s %10s\n", "wall_ms", "merge_words/s", "allocs/iteration",
               "checksum");
   std::printf("%12.2f %16.0f %18.1f %10llu\n", merge.wall_ms, merge.words_per_sec,
@@ -137,7 +145,7 @@ int main() {
     char buf[384];
     std::snprintf(buf, sizeof(buf),
                   "{\"section\": \"sketch_merge\", \"labels\": %zu, \"parts\": %zu, "
-                  "\"words_per_sketch\": %zu, \"iterations\": %zu, \"wall_ms\": %.3f, "
+                  "\"words_per_sketch\": %.1f, \"iterations\": %zu, \"wall_ms\": %.3f, "
                   "\"merge_words_per_sec\": %.0f, \"allocs_per_iteration\": %.1f}",
                   kLabels, kParts, words_per_msg, kMeasureIters, merge.wall_ms,
                   merge.words_per_sec, merge.allocs_per_iteration);

@@ -98,7 +98,7 @@ void BM_SerializeRoundtrip(benchmark::State& state) {
 BENCHMARK(BM_SerializeRoundtrip);
 
 // The two proxy-side merge paths, head to head: materialize-then-add (the
-// pre-registry representation) vs wire-level add_serialized into a pooled
+// pre-registry representation) vs wire-level add_serialized into a reused
 // accumulator (the engine's current path).
 void BM_MergeDeserializeAdd(benchmark::State& state) {
   const auto params = L0Params::for_universe(kUniverse);

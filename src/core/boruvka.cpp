@@ -73,17 +73,14 @@ BoruvkaEngine::BoruvkaEngine(Cluster& cluster, const DistributedGraph& dg,
   machine_parts_.resize(k);
   resend_.resize(k);
   proxy_records_.resize(k);
-  sum_slots_.resize(k);
-  sketch_pool_.resize(k);
   for (MachineId i = 0; i < k; ++i) {
     machine_parts_[i].reset_universe(n_);
     resend_[i].reset_universe(n_);
     proxy_records_[i].reset_universe(n_);
-    sum_slots_[i].reset_universe(n_);
   }
   writer_.resize(k);
   mask_scratch_.assign(k, std::vector<std::uint64_t>(mask_words()));
-  power_scratch_.resize(k);
+  sketch_order_.resize(k);
   label_scratch_.resize(k);
   bit_scratch_.assign(k, 0);
   seen_scratch_.assign(n_, 0);
@@ -106,6 +103,7 @@ const GraphSketchBuilder& BoruvkaEngine::bind_builder(std::uint64_t sketch_seed)
     builder_->rebind(sketch_seed);
   } else {
     builder_.emplace(n_, sketch_seed, config_.sketch_copies);
+    sketch_.assign(cluster_->k(), builder_->empty_sketch());
   }
   return *builder_;
 }
@@ -206,17 +204,15 @@ std::uint32_t BoruvkaEngine::run_elimination_loop(std::uint32_t phase) {
     // threshold in MST mode) and, from the second iteration on, hands its
     // proxy records off to the fresh proxy generation. Sketch construction
     // is the engine's dominant local computation — the handlers below are
-    // where threads > 1 pays. One pooled sampler per machine absorbs every
-    // part sketch of the iteration.
+    // where threads > 1 pays. The machine's one sampler absorbs every part
+    // sketch of the iteration in turn.
     runtime_.step([&](MachineId i, std::span<const Message>, Outbox& out) {
       resend_[i].for_each_sorted([&](Label label, Weight thr) {
         auto* part = machine_parts_[i].find(label);
         KMM_CHECK(part != nullptr);
-        auto& pool = sketch_pool_[i];
-        pool.release_all();
-        L0Sampler& sketch =
-            pool.acquire(builder.universe(), builder.params(), builder.seed());
-        builder.accumulate_part(*dg_, *part, thr, sketch, power_scratch_[i]);
+        L0Sampler& sketch = sketch_[i];
+        sketch.reset(builder.seed());
+        builder.accumulate_part(*dg_, *part, thr, sketch);
         auto& w = writer_[i];
         w.clear();
         w.u64(label);
@@ -231,47 +227,44 @@ std::uint32_t BoruvkaEngine::run_elimination_loop(std::uint32_t phase) {
       }
     });
 
-    // Proxy side: apply handoffs first so records exist before this
-    // iteration's sketches are merged, then sum per-label sketches and run
-    // the state transitions on the combined result. Incoming sketches are
-    // merged wire-level: serialized cells add straight off the payload into
-    // a pooled accumulator (add_serialized) — no per-message deserialize.
+    // Proxy side (SS1b): apply handoffs first so records exist before this
+    // iteration's sketches are merged. Then sort the sketch messages by
+    // label and, one label at a time, sum that label's sketches into the
+    // machine's one sampler and run the label's state transition on the
+    // combined result — in ascending label order, the wire order the ledger
+    // pins. Incoming sketches are merged wire-level: serialized cells add
+    // straight off the payload (add_serialized), and only one accumulator
+    // per machine is ever live.
     runtime_.step([&](MachineId i, std::span<const Message> inbox, Outbox& out) {
-      for (const auto& msg : inbox) {
-        if (msg.tag == kTagHandoff) {
-          WordReader r(msg.payload());
+      auto& order = sketch_order_[i];
+      order.clear();
+      for (std::uint32_t m = 0; m < inbox.size(); ++m) {
+        if (inbox[m].tag == kTagHandoff) {
+          WordReader r(inbox[m].payload());
           apply_handoff(r, proxy_records_[i]);
+        } else if (inbox[m].tag == kTagSketch) {
+          order.emplace_back(inbox[m].payload()[0], m);
         }
       }
-      auto& sums = sum_slots_[i];
-      auto& pool = sketch_pool_[i];
-      sums.clear();
-      pool.release_all();
-      for (const auto& msg : inbox) {
-        if (msg.tag != kTagSketch) continue;
-        WordReader r(msg.payload());
-        const Label label = r.u64();
+      std::sort(order.begin(), order.end());
+      L0Sampler& sum = sketch_[i];
+      for (std::size_t lo = 0; lo < order.size();) {
+        const Label label = order[lo].first;
         bool created = false;
         Record& rec = proxy_records_[i].get_or_create(label, created);
         if (created) {
           rec.reset(mask_words());
           rec.parent = label;
         }
-        mask_set(rec.srcs, msg.src);
-        bool sum_created = false;
-        std::uint32_t& sum_idx = sums.get_or_create(label, sum_created);
-        if (sum_created) {
-          sum_idx = pool.acquire_index(builder.universe(), builder.params(), builder.seed());
-        }
-        pool.at(sum_idx).add_serialized(r);
-      }
-
-      // State transitions for components whose combined sketch arrived, in
-      // ascending label order (the wire order the ledger pins).
-      sums.for_each_sorted([&](Label label, std::uint32_t sum_idx) {
-        L0Sampler& sum = pool.at(sum_idx);
-        Record& rec = proxy_records_[i].at(label);
         KMM_CHECK(rec.state == kSearching);
+        sum.reset(builder.seed());
+        for (; lo < order.size() && order[lo].first == label; ++lo) {
+          const Message& msg = inbox[order[lo].second];
+          mask_set(rec.srcs, msg.src);
+          WordReader r(msg.payload());
+          (void)r.u64();  // the label
+          sum.add_serialized(r);
+        }
         if (sum.is_zero()) {
           if (rec.has_candidate) {
             // No outgoing edge lighter than the candidate: MWOE confirmed.
@@ -284,7 +277,7 @@ std::uint32_t BoruvkaEngine::run_elimination_loop(std::uint32_t phase) {
               out.send(m, kTagDirective, {label, kDirectiveFinished, 0}, label_bits_ + 2);
             });
           }
-          return;
+          continue;
         }
         const auto sampled = sum.sample();
         if (!sampled) {
@@ -294,7 +287,7 @@ std::uint32_t BoruvkaEngine::run_elimination_loop(std::uint32_t phase) {
             out.send(m, kTagDirective, {label, kDirectiveContinue, rec.thr},
                      label_bits_ + 66);
           });
-          return;
+          continue;
         }
         const auto [x, y] = builder.decode(sampled->index);
         rec.cand_in = sampled->value > 0 ? x : y;
@@ -309,7 +302,7 @@ std::uint32_t BoruvkaEngine::run_elimination_loop(std::uint32_t phase) {
           out.send(dg_->home(rec.cand_in), kTagWeightQuery,
                    {label, rec.cand_in, rec.cand_out}, 3 * label_bits_);
         }
-      });
+      }
     });
 
     // SS2: home machines answer queries; part machines apply directives

@@ -38,7 +38,7 @@
 //    reproduces the ordered-map ascending-label order exactly (the golden
 //    ledger in tests/test_golden_stats.cpp pins this); order-independent
 //    scans use the cheaper for_each();
-//  * registries, sketch pools (SketchPool), WordWriters, and all scratch
+//  * registries, per-machine samplers, WordWriters, and all scratch
 //    vectors are machine-indexed members — a handler touches only slot i,
 //    which is what makes the handlers race-free without locks;
 //  * cleared containers retain capacity (registry clear() recycles slots
@@ -48,8 +48,10 @@
 //    (tests/test_alloc_steady_state.cpp and bench_boruvka_hotpath measure
 //    this);
 //  * incoming sketches are merged wire-level — L0Sampler::add_serialized
-//    adds 3-word cells straight off the message payload into a pooled
-//    accumulator; no per-message sketch is ever materialized.
+//    adds cells straight off the trimmed message image into the proxy
+//    machine's one accumulator, one label at a time (sketch messages are
+//    sorted by label first); no per-message sketch is ever materialized
+//    and no per-label accumulator is ever live.
 //
 // Modes:
 //  * kConnectivity — samples any outgoing edge; merge edges form a spanning
@@ -75,7 +77,6 @@
 #include "core/label_registry.hpp"
 #include "runtime/runtime.hpp"
 #include "sketch/graph_sketch.hpp"
-#include "sketch/sketch_pool.hpp"
 
 namespace kmm {
 
@@ -227,9 +228,9 @@ class BoruvkaEngine {
   // -- fault-plane state hooks (porting recipe rule 8b) --------------------
   // Serialize / rebuild machine m's complete cross-step state. Deliberately
   // excluded: finished_ (monotone one-way flags = replicated stable
-  // storage) and all within-step scratch (sum_slots_, sketch_pool_,
-  // writer_, *_scratch_ except the OR-reduce bits), which is re-cleared
-  // before every use.
+  // storage) and all within-step scratch (sketch_, sketch_order_, writer_,
+  // *_scratch_ except the OR-reduce bits), which is re-cleared before every
+  // use.
   void snapshot_machine(MachineId m, WordWriter& w);
   void restore_machine(MachineId m, WordReader& r);
 
@@ -279,12 +280,9 @@ class BoruvkaEngine {
 
   // Proxy-side records for the current proxy generation.
   std::vector<LabelRegistry<Record>> proxy_records_;
-  // Per-superstep proxy accumulators: label -> pooled sketch index; lives
-  // only within the proxy handler of one elimination iteration.
-  std::vector<LabelRegistry<std::uint32_t>> sum_slots_;
-  // Recycled L0Sampler storage: SS1 part sketches and proxy-side sums both
-  // draw zeroed accumulators from here instead of constructing sketches.
-  std::vector<SketchPool> sketch_pool_;
+  // One sampler per machine, reset and reused for every sketch the machine
+  // builds (SS1) or sums (SS1b) — the sketch plane's only accumulators.
+  std::vector<L0Sampler> sketch_;
   // One builder for the whole run, rebound per iteration (power tables
   // recomputed in place); read-only inside handlers.
   std::optional<GraphSketchBuilder> builder_;
@@ -294,7 +292,8 @@ class BoruvkaEngine {
   // steady state allocates nothing.
   std::vector<WordWriter> writer_;
   std::vector<std::vector<std::uint64_t>> mask_scratch_;   // child-src masks
-  std::vector<std::vector<std::uint64_t>> power_scratch_;  // fingerprint powers
+  // SS1b: (label, inbox index) of each incoming sketch, sorted by label.
+  std::vector<std::vector<std::pair<Label, std::uint32_t>>> sketch_order_;
   std::vector<std::vector<Label>> label_scratch_;  // finished/merged/count lists
   std::vector<char> bit_scratch_;   // per-machine flags for the OR-reduces
   std::vector<char> seen_scratch_;  // per-vertex marks for label counting

@@ -4,7 +4,7 @@
 //
 // The engine keys everything by component label (a vertex id in [0, n)):
 // which parts a machine holds, which labels to re-sketch, proxy-side
-// component records, per-superstep sketch accumulators. Tree-based maps put
+// component records. Tree-based maps put
 // every one of those on the allocator and scatter them across the heap;
 // this registry is the flat replacement, mirroring the message plane's
 // count-then-bucket/touched-list design (PR 3):
@@ -32,8 +32,8 @@
 //    machine so superstep handlers never share one.
 //
 // Memory: the dense slot table costs 4 bytes per universe label per
-// registry. The engine keeps 4 registries x k machines over a universe of n
-// labels — 16*n*k bytes total, the price of O(1) slot lookup without
+// registry. The engine keeps 3 registries x k machines over a universe of n
+// labels — 12*n*k bytes total, the price of O(1) slot lookup without
 // hashing; revisit with a paged table if simulated n ever outgrows it.
 
 #include <algorithm>

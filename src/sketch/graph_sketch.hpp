@@ -10,7 +10,11 @@
 // GraphSketchBuilder fixes the shared per-phase randomness (seed) and
 // precomputes, per sampler copy, fingerprint power tables
 //   r^(x*n + y) = (r^n)^x * r^y
-// so that building a sketch costs O(1) field mults per incident edge.
+// so that building a sketch costs O(1) field mults per incident edge. The
+// tables are interleaved: vertex v's row holds r_c^v and (r_c^n)^v for every
+// copy c side by side, so a neighbour's powers cost one row load instead of
+// 2 x copies scattered ones. The per-copy level-hash seeds are precomputed
+// with the tables, leaving one splitmix64 per half-edge and copy.
 //
 // The weight threshold (`max_weight`) implements the MST elimination step
 // of Section 3.1: entries for edges heavier than the threshold are zeroed
@@ -24,6 +28,7 @@
 
 #include "cluster/distributed_graph.hpp"
 #include "sketch/l0_sampler.hpp"
+#include "util/prime_field.hpp"
 
 namespace kmm {
 
@@ -53,13 +58,18 @@ class GraphSketchBuilder {
                                       Weight max_weight = kNoWeightLimit) const;
 
   /// Allocation-free flavor: accumulate the part into a caller-provided
-  /// (typically pooled) sampler, using caller-owned scratch for the per-edge
-  /// fingerprint powers. `sink` must be zeroed and bound to this builder's
-  /// (universe, params, seed); `power_scratch` is resized to `copies` once
-  /// and reused across calls. The engine's SS1 hot path.
+  /// (typically reused) sampler. `sink` must be bound to this builder's
+  /// (universe, params, seed); accumulating adds to what it holds. The
+  /// engine's SS1 hot path.
+  void accumulate_part(const DistributedGraph& dg, std::span<const Vertex> part,
+                       Weight max_weight, L0Sampler& sink) const;
+  /// Same, for callers written against the kernel that needed per-edge
+  /// power scratch; the fused kernel leaves `power_scratch` untouched.
   void accumulate_part(const DistributedGraph& dg, std::span<const Vertex> part,
                        Weight max_weight, L0Sampler& sink,
-                       std::vector<std::uint64_t>& power_scratch) const;
+                       std::vector<std::uint64_t>& /*power_scratch*/) const {
+    accumulate_part(dg, part, max_weight, sink);
+  }
 
   /// An empty sketch with this builder's construction parameters
   /// (accumulator for proxy-side summation / deserialization target).
@@ -68,24 +78,30 @@ class GraphSketchBuilder {
   /// Decode a sampled edge index back to endpoints (x < y).
   [[nodiscard]] std::pair<Vertex, Vertex> decode(std::uint64_t index) const;
 
+  /// r_c^(x*n + y) as the build kernel forms it from the power tables.
+  [[nodiscard]] std::uint64_t edge_power(Vertex x, Vertex y, int copy) const noexcept {
+    return fp::mul(row(x)[params_.copies + copy], row(y)[copy]);
+  }
+
   [[nodiscard]] std::uint64_t universe() const noexcept { return universe_; }
   [[nodiscard]] const L0Params& params() const noexcept { return params_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
  private:
-  /// `powers` is caller scratch with one slot per sampler copy — hoisted out
-  /// so a part's (or a whole iteration's) vertices share one buffer instead
-  /// of re-allocating it per vertex.
-  void accumulate(const DistributedGraph& dg, Vertex u, Weight max_weight, L0Sampler& sink,
-                  std::uint64_t* powers) const;
+  void accumulate(const DistributedGraph& dg, Vertex u, Weight max_weight,
+                  L0Sampler& sink) const;
+
+  /// Vertex v's row: r_c^v for c in [0, copies), then (r_c^n)^v likewise.
+  [[nodiscard]] const std::uint64_t* row(Vertex v) const noexcept {
+    return powers_.data() + static_cast<std::size_t>(v) * 2 * params_.copies;
+  }
 
   std::size_t n_;
   std::uint64_t universe_;
   L0Params params_;
   std::uint64_t seed_;
-  // Per copy: r^y for y in [0, n) and (r^n)^x for x in [0, n).
-  std::vector<std::vector<std::uint64_t>> pow_low_;
-  std::vector<std::vector<std::uint64_t>> pow_high_;
+  std::vector<std::uint64_t> powers_;       // n rows of 2 * copies words
+  std::vector<std::uint64_t> level_seeds_;  // per copy
 };
 
 }  // namespace kmm

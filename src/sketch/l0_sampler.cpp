@@ -18,7 +18,9 @@ L0Params L0Params::for_universe(std::uint64_t universe, int copies) {
 
 L0Sampler::L0Sampler(std::uint64_t universe, L0Params params, std::uint64_t seed)
     : universe_(universe), params_(params), seed_(seed) {
-  KMM_CHECK(universe >= 1 && params.levels >= 1 && params.copies >= 1);
+  // A wire-image header byte holds each copy's level count; 64 levels
+  // already exhaust a 64-bit level hash.
+  KMM_CHECK(universe >= 1 && params.levels >= 1 && params.levels <= 64 && params.copies >= 1);
   cells_.resize(static_cast<std::size_t>(params_.cells()));
 }
 
@@ -31,12 +33,12 @@ std::uint64_t L0Sampler::fingerprint_base_for(std::uint64_t seed, int copy) {
   return 2 + split3(seed, 0xf1a9, static_cast<std::uint64_t>(copy)) % (kMersenne61 - 2);
 }
 
-std::uint64_t L0Sampler::level_seed(int copy) const {
-  return split3(seed_, 0x1e7e, static_cast<std::uint64_t>(copy));
+std::uint64_t L0Sampler::level_seed_for(std::uint64_t seed, int copy) {
+  return split3(seed, 0x1e7e, static_cast<std::uint64_t>(copy));
 }
 
 int L0Sampler::level_of(std::uint64_t index, int copy) const {
-  const std::uint64_t h = split(level_seed(copy), index);
+  const std::uint64_t h = split(level_seed_for(seed_, copy), index);
   return geometric_level(h, params_.levels - 1);
 }
 
@@ -68,11 +70,16 @@ void L0Sampler::add(const L0Sampler& other) {
 }
 
 void L0Sampler::add_serialized(WordReader& reader) {
-  const auto raw = reader.span(cells_.size() * 3);
-  const std::uint64_t* words = raw.data();
-  for (auto& cell : cells_) {
-    cell.add_raw(static_cast<std::int64_t>(words[0]), words[1], words[2]);
-    words += 3;
+  const auto header = reader.span(header_words());
+  for (int c = 0; c < params_.copies; ++c) {
+    const std::uint64_t count = (header[static_cast<std::size_t>(c) / 8] >> (8 * (c % 8))) & 0xff;
+    KMM_CHECK_MSG(count >= 1 && count <= static_cast<std::uint64_t>(params_.levels),
+                  "sketch image: copy level count outside [1, levels]");
+    const std::uint64_t* words = reader.span(count * 3).data();
+    OneSparseCell* cells = &cell(c, 0);
+    for (std::uint64_t l = 0; l < count; ++l, words += 3) {
+      cells[l].add_raw(static_cast<std::int64_t>(words[0]), words[1], words[2]);
+    }
   }
 }
 
@@ -106,24 +113,35 @@ std::uint64_t L0Sampler::wire_bits() const {
   return static_cast<std::uint64_t>(params_.cells()) * OneSparseCell::wire_bits(universe_);
 }
 
+int L0Sampler::present_levels(int copy) const noexcept {
+  int top = params_.levels - 1;
+  while (top > 0 && cell(copy, top).all_zero()) --top;
+  return top + 1;
+}
+
 void L0Sampler::serialize(WordWriter& out) const {
-  out.reserve(out.size() + cells_.size() * 3);
-  for (const auto& cell : cells_) {
-    out.u64(static_cast<std::uint64_t>(cell.s0()));
-    out.u64(cell.s1());
-    out.u64(cell.s2());
+  out.reserve(out.size() + max_image_words());
+  for (std::size_t h = 0; h < header_words(); ++h) {
+    std::uint64_t word = 0;
+    for (int c = static_cast<int>(8 * h); c < params_.copies && c < static_cast<int>(8 * h + 8);
+         ++c) {
+      word |= static_cast<std::uint64_t>(present_levels(c)) << (8 * (c % 8));
+    }
+    out.u64(word);
+  }
+  for (int c = 0; c < params_.copies; ++c) {
+    const int count = present_levels(c);
+    for (int l = 0; l < count; ++l) {
+      const OneSparseCell& cl = cell(c, l);
+      out.u64(static_cast<std::uint64_t>(cl.s0())).u64(cl.s1()).u64(cl.s2());
+    }
   }
 }
 
 L0Sampler L0Sampler::deserialize(std::uint64_t universe, L0Params params, std::uint64_t seed,
                                  WordReader& reader) {
   L0Sampler s(universe, params, seed);
-  for (auto& cell : s.cells_) {
-    const auto s0 = static_cast<std::int64_t>(reader.u64());
-    const std::uint64_t s1 = reader.u64();
-    const std::uint64_t s2 = reader.u64();
-    cell = OneSparseCell::from_raw(s0, s1, s2);
-  }
+  s.add_serialized(reader);
   return s;
 }
 

@@ -16,6 +16,19 @@
 // All randomness comes from `seed` — machines sharing a seed build
 // combinable sketches, which is how the k-machine algorithm ships per-part
 // sketches to proxies and sums them there.
+//
+// Wire image (serialize / add_serialized / deserialize): a trimmed,
+// self-delimiting word sequence. A header of ceil(copies / 8) words holds
+// one byte per copy — byte c % 8 of word c / 8 — giving that copy's level
+// count: its highest non-zero level + 1, at least 1 and at most `levels`.
+// Then, copy by copy, each copy's cells of levels 0..count-1 as 3 words
+// (s0, s1, s2). Level 0 of every copy is always present, so the image
+// carries is_zero()'s fingerprints and its last word is always a
+// fingerprint (s2) word. Geometric subsampling leaves most high levels
+// empty, so images are a fraction of the full copies x levels x 3 words.
+// The physical image length is not the sketch's cost: wire_bits() stays the
+// logical size of every cell, so the ClusterStats ledger does not depend on
+// trimming (the bandwidth ledger charges declared bits, never payload words).
 
 #include <cstdint>
 #include <optional>
@@ -54,15 +67,17 @@ class L0Sampler {
   /// Linear combination; other must share (universe, params, seed).
   void add(const L0Sampler& other);
 
-  /// Linear combination with a sketch in wire form: adds the serialized
-  /// cells straight off `reader` (3 words per cell, one bounds check),
-  /// without materializing the sending sketch. Exactly equivalent to
-  /// deserialize() + add(), minus the heap-allocated intermediate — the
-  /// proxy-side merge path of the Borůvka engine.
+  /// Linear combination with a sketch in wire form: reads one trimmed
+  /// image (see the top of this file) off `reader` and adds its cells
+  /// straight into this sampler, without materializing the sending sketch —
+  /// the proxy-side merge path of the Borůvka engine. Consumes exactly one
+  /// image, so images written back-to-back read back-to-back. A level count
+  /// outside [1, levels] or a truncated image fails a KMM_CHECK before any
+  /// out-of-bounds read.
   void add_serialized(WordReader& reader);
 
-  /// Re-zero all cells and rebind to `seed`, retaining cell storage — the
-  /// SketchPool recycling hook (universe/params stay fixed).
+  /// Re-zero all cells and rebind to `seed`, retaining cell storage — how
+  /// the engine reuses one sampler per machine (universe/params stay fixed).
   void reset(std::uint64_t seed) noexcept;
 
   /// Recover some nonzero index, or nullopt if the vector appears empty /
@@ -81,8 +96,9 @@ class L0Sampler {
   /// Same derivation without an instance — power-table builders rebind to a
   /// new seed without constructing a probe sampler.
   [[nodiscard]] static std::uint64_t fingerprint_base_for(std::uint64_t seed, int copy);
-  /// Level-hash seed of copy c.
-  [[nodiscard]] std::uint64_t level_seed(int copy) const;
+  /// Level-hash seed of copy c, without an instance (the build kernel
+  /// precomputes these once per rebind).
+  [[nodiscard]] static std::uint64_t level_seed_for(std::uint64_t seed, int copy);
   /// Level (0..levels-1) that index participates up to, in copy c.
   [[nodiscard]] int level_of(std::uint64_t index, int copy) const;
 
@@ -90,17 +106,35 @@ class L0Sampler {
   [[nodiscard]] const L0Params& params() const noexcept { return params_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
-  /// Logical wire size of the serialized sketch.
+  /// Logical wire size of the sketch: every cell of every copy, whatever
+  /// the physical image length.
   [[nodiscard]] std::uint64_t wire_bits() const;
 
-  /// Serialize all cells (3 words each) into a writer.
+  /// Append the trimmed wire image. Reserves the untrimmed maximum, so a
+  /// reused writer reaches its steady-state capacity on first use.
   void serialize(WordWriter& out) const;
 
-  /// Rebuild a sketch from `reader` given matching construction parameters.
+  /// Longest possible wire image: the header plus every cell.
+  [[nodiscard]] std::size_t max_image_words() const noexcept {
+    return header_words() + cells_.size() * 3;
+  }
+
+  /// Rebuild a sketch from one image on `reader` given matching
+  /// construction parameters (add_serialized into a fresh sampler).
   static L0Sampler deserialize(std::uint64_t universe, L0Params params, std::uint64_t seed,
                                WordReader& reader);
 
  private:
+  // The build kernel walks a copy's cells directly instead of calling
+  // update() per half-edge.
+  friend class GraphSketchBuilder;
+
+  [[nodiscard]] std::size_t header_words() const noexcept {
+    return (static_cast<std::size_t>(params_.copies) + 7) / 8;
+  }
+  /// Levels of copy c the wire image carries: highest non-zero level + 1.
+  [[nodiscard]] int present_levels(int copy) const noexcept;
+
   [[nodiscard]] OneSparseCell& cell(int copy, int level) {
     return cells_[static_cast<std::size_t>(copy) * static_cast<std::size_t>(params_.levels) +
                   static_cast<std::size_t>(level)];

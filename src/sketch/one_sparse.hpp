@@ -29,7 +29,19 @@ class OneSparseCell {
  public:
   /// Add `value` (±1) at `index`; `r_pow_index` must equal r^index mod p
   /// (callers precompute it — see GraphSketchBuilder's power tables).
-  void update(std::uint64_t index, int value, std::uint64_t r_pow_index) noexcept;
+  /// Inline: it is the innermost step of the sketch build kernel.
+  void update(std::uint64_t index, int value, std::uint64_t r_pow_index) noexcept {
+    // value is ±1 by construction of incidence vectors.
+    if (value > 0) {
+      ++s0_;
+      s1_ = fp::add(s1_, fp::reduce(index));
+      s2_ = fp::add(s2_, r_pow_index);
+    } else {
+      --s0_;
+      s1_ = fp::sub(s1_, fp::reduce(index));
+      s2_ = fp::sub(s2_, r_pow_index);
+    }
+  }
 
   /// Linear combination with another cell over the same (U, r).
   void add(const OneSparseCell& other) noexcept;
@@ -38,9 +50,11 @@ class OneSparseCell {
   /// the proxy-side merge path, which adds serialized cells straight off a
   /// message payload without materializing the sending sketch. s1/s2 are
   /// reduced on entry, so any 64-bit wire words are accepted; for words
-  /// produced by serialize() the reduction is a no-op.
+  /// produced by serialize() the reduction is a no-op. s0 adds with
+  /// two's-complement wraparound, so hostile counters cannot overflow.
   void add_raw(std::int64_t s0, std::uint64_t s1, std::uint64_t s2) noexcept {
-    s0_ += s0;
+    s0_ = static_cast<std::int64_t>(static_cast<std::uint64_t>(s0_) +
+                                    static_cast<std::uint64_t>(s0));
     s1_ = fp::add(s1_, fp::reduce(s1));
     s2_ = fp::add(s2_, fp::reduce(s2));
   }

@@ -6,6 +6,7 @@
 // bandwidth ledger charges what a real wire format would carry (e.g. a
 // sketch cell is 61 bits, a vertex id is ceil(log2 n) bits).
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -23,8 +24,13 @@ class WordWriter {
   WordWriter& u32(std::uint32_t v) { return u64(v); }
 
   /// Pre-size for a known batch of u64() calls (serializers that know their
-  /// word count up front, e.g. a sketch's cells).
-  void reserve(std::size_t total_words) { words_.reserve(total_words); }
+  /// word count up front, e.g. a sketch's cells). Grows geometrically, so a
+  /// loop of reserve(size() + k) calls stays amortized O(1) per word.
+  void reserve(std::size_t total_words) {
+    if (total_words > words_.capacity()) {
+      words_.reserve(std::max(total_words, 2 * words_.capacity()));
+    }
+  }
 
   /// View of the serialized words — the form senders pass to Outbox::send,
   /// which copies, so the writer may be clear()ed and reused right after.

@@ -6,15 +6,20 @@
 // as its own test with a plain main().
 //
 // What it asserts: one steady-state Borůvka elimination iteration — builder
-// rebind, part sketching into a pooled accumulator with caller scratch,
-// serialization into a reused WordWriter, proxy-side wire-level merging
-// into pooled sums behind a LabelRegistry, and the sample/is_zero state
-// transitions — performs ZERO heap allocations once the capacity-retaining
-// structures are warm. This is the compute-plane analogue of the message
-// plane's 0 allocs/superstep (PR 3); bench_boruvka_hotpath reports the same
-// quantity with throughput numbers against the checked-in baseline.
+// rebind, part sketching into the machine's one reused sampler,
+// serialization of the trimmed wire image into a reused WordWriter, and on
+// the proxy side sorting the sketch messages by label and summing each
+// label's images into one reused sampler before its sample/is_zero state
+// transition — performs ZERO heap allocations once the capacity-retaining
+// structures are warm. It is checked at n = 512 and again at n = 2*10^4,
+// where far more parts and labels pass through the same structures. This
+// is the compute-plane analogue of the message plane's 0 allocs/superstep
+// (PR 3); bench_boruvka_hotpath reports the same quantity with throughput
+// numbers against the checked-in baseline.
 
+#include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -25,9 +30,6 @@ namespace {
 using namespace kmm;
 using kmmbench::alloc_count;
 
-constexpr std::size_t kN = 512;      // vertices (universe kN^2)
-constexpr std::size_t kLabels = 16;  // active components per iteration
-constexpr std::size_t kParts = 4;    // part-sketches per label
 constexpr int kWarmupIters = 3;
 constexpr int kMeasureIters = 8;
 
@@ -43,95 +45,111 @@ int failures = 0;
     }                                                                                \
   } while (0)
 
-/// One elimination iteration over pre-partitioned component parts: the
-/// home-side sketch+serialize half and the proxy-side merge+transition half,
-/// exactly the containers and calls the engine's hot path uses.
-void run_iteration(GraphSketchBuilder& builder, const DistributedGraph& dg,
-                   std::uint64_t seed, const std::vector<std::vector<Vertex>>& parts,
-                   SketchPool& home_pool, SketchPool& proxy_pool, WordWriter& writer,
-                   std::vector<std::uint64_t>& power_scratch,
-                   std::vector<std::vector<std::uint64_t>>& wire,
-                   LabelRegistry<std::uint32_t>& sums, std::uint64_t* sink) {
-  builder.rebind(seed);
+/// The sketch plane of one machine pair, with every capacity-retaining
+/// structure the engine's hot path keeps across iterations.
+struct SketchPlane {
+  SketchPlane(std::size_t n, std::size_t labels, std::size_t parts_per_label)
+      : labels(labels),
+        parts(labels * parts_per_label),
+        graph(make_graph(n)),
+        dg(graph, VertexPartition::random(n, 4, 7)),
+        builder(n, /*seed=*/1),
+        home(builder.empty_sketch()),
+        proxy(builder.empty_sketch()),
+        wire(parts.size()) {
+    // Disjoint vertex slices standing in for component parts.
+    const std::size_t chunk = n / parts.size();
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      for (std::size_t j = 0; j < chunk; ++j) {
+        parts[i].push_back(static_cast<Vertex>(i * chunk + j));
+      }
+    }
+    // Stand-in message slots, pre-sized to the longest possible image
+    // (label word + untrimmed sketch): trimmed images vary in length from
+    // one iteration to the next, so warm-up alone does not size them.
+    for (auto& slot : wire) slot.reserve(1 + home.max_image_words());
+  }
 
-  // Home side: sketch each part into a pooled accumulator, serialize into
-  // the reused writer, "send" by copying into the wire buffers (stand-in
-  // for the already allocation-free message plane; buffers are pre-sized).
-  for (std::size_t label = 0; label < kLabels; ++label) {
-    for (std::size_t p = 0; p < kParts; ++p) {
-      home_pool.release_all();
-      L0Sampler& sketch =
-          home_pool.acquire(builder.universe(), builder.params(), builder.seed());
-      builder.accumulate_part(dg, parts[label * kParts + p], kNoWeightLimit, sketch,
-                              power_scratch);
+  static Graph make_graph(std::size_t n) {
+    Rng rng(5);
+    return gen::gnm(n, 3 * n, rng);
+  }
+
+  /// One elimination iteration over the pre-partitioned component parts:
+  /// the home-side sketch+serialize half and the proxy-side merge+transition
+  /// half, exactly the containers and calls the engine's hot path uses.
+  void run_iteration(std::uint64_t seed) {
+    builder.rebind(seed);
+
+    // Home side: sketch each part into the reused sampler, serialize into
+    // the reused writer, "send" by copying into the wire slots (stand-in for
+    // the already allocation-free message plane).
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      home.reset(builder.seed());
+      builder.accumulate_part(dg, parts[p], kNoWeightLimit, home);
       writer.clear();
-      writer.u64(label);
-      sketch.serialize(writer);
-      auto& slot = wire[label * kParts + p];
-      slot.assign(writer.words().begin(), writer.words().end());
+      writer.u64(p % labels);
+      home.serialize(writer);
+      wire[p].assign(writer.words().begin(), writer.words().end());
+    }
+
+    // Proxy side: sort by label, sum each label's images, then transition.
+    order.clear();
+    for (std::uint32_t m = 0; m < wire.size(); ++m) order.emplace_back(wire[m][0], m);
+    std::sort(order.begin(), order.end());
+    for (std::size_t lo = 0; lo < order.size();) {
+      const Label label = order[lo].first;
+      proxy.reset(builder.seed());
+      for (; lo < order.size() && order[lo].first == label; ++lo) {
+        WordReader r(wire[order[lo].second]);
+        (void)r.u64();
+        proxy.add_serialized(r);
+      }
+      if (proxy.is_zero()) continue;
+      if (const auto rec = proxy.sample()) sink += rec->index + label;
     }
   }
 
-  // Proxy side: wire-level merge into pooled sums, then transitions.
-  sums.clear();
-  proxy_pool.release_all();
-  for (const auto& msg : wire) {
-    WordReader r(msg);
-    const Label label = r.u64();
-    bool created = false;
-    std::uint32_t& idx = sums.get_or_create(label, created);
-    if (created) {
-      idx = proxy_pool.acquire_index(builder.universe(), builder.params(), builder.seed());
+  /// Warm up, then count the allocations of the measured iterations.
+  std::uint64_t steady_allocs() {
+    for (int it = 0; it < kWarmupIters; ++it) {
+      run_iteration(100 + static_cast<std::uint64_t>(it));
     }
-    proxy_pool.at(idx).add_serialized(r);
+    const auto a0 = alloc_count();
+    for (int it = 0; it < kMeasureIters; ++it) {
+      run_iteration(200 + static_cast<std::uint64_t>(it));
+    }
+    return alloc_count() - a0;
   }
-  sums.for_each_sorted([&](Label label, std::uint32_t idx) {
-    L0Sampler& sum = proxy_pool.at(idx);
-    if (sum.is_zero()) return;
-    if (const auto rec = sum.sample()) *sink += rec->index + label;
-  });
-}
+
+  std::size_t labels;
+  std::vector<std::vector<Vertex>> parts;
+  Graph graph;
+  DistributedGraph dg;
+  GraphSketchBuilder builder;
+  L0Sampler home, proxy;
+  WordWriter writer;
+  std::vector<std::vector<std::uint64_t>> wire;
+  std::vector<std::pair<Label, std::uint32_t>> order;
+  std::uint64_t sink = 0;
+};
 
 }  // namespace
 
 int main() {
-  Rng rng(5);
-  const Graph g = gen::gnm(kN, 3 * kN, rng);
-  const DistributedGraph dg(g, VertexPartition::random(kN, 4, 7));
-
-  // Disjoint vertex slices standing in for component parts.
-  std::vector<std::vector<Vertex>> parts(kLabels * kParts);
-  const std::size_t chunk = kN / parts.size();
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    for (std::size_t j = 0; j < chunk; ++j) {
-      parts[i].push_back(static_cast<Vertex>(i * chunk + j));
-    }
+  struct PlaneCase {
+    std::size_t n, labels, parts_per_label;
+  };
+  for (const PlaneCase pc : {PlaneCase{512, 16, 4}, PlaneCase{20000, 256, 8}}) {
+    SketchPlane plane(pc.n, pc.labels, pc.parts_per_label);
+    const auto steady_allocs = plane.steady_allocs();
+    char what[96];
+    std::snprintf(what, sizeof what, "steady-state sketch-plane allocations (n=%zu)", pc.n);
+    EXPECT_ZERO(steady_allocs, what);
+    std::printf("sketch plane n=%zu: %d warm iterations, %llu allocations (sink=%llu)\n",
+                pc.n, kMeasureIters, static_cast<unsigned long long>(steady_allocs),
+                static_cast<unsigned long long>(plane.sink));
   }
-
-  GraphSketchBuilder builder(kN, /*seed=*/1);
-  SketchPool home_pool, proxy_pool;
-  WordWriter writer;
-  std::vector<std::uint64_t> power_scratch;
-  std::vector<std::vector<std::uint64_t>> wire(kLabels * kParts);
-  LabelRegistry<std::uint32_t> sums;
-  sums.reset_universe(kLabels);
-  std::uint64_t sink = 0;
-
-  for (int it = 0; it < kWarmupIters; ++it) {
-    run_iteration(builder, dg, 100 + static_cast<std::uint64_t>(it), parts, home_pool,
-                  proxy_pool, writer, power_scratch, wire, sums, &sink);
-  }
-
-  const auto a0 = alloc_count();
-  for (int it = 0; it < kMeasureIters; ++it) {
-    run_iteration(builder, dg, 200 + static_cast<std::uint64_t>(it), parts, home_pool,
-                  proxy_pool, writer, power_scratch, wire, sums, &sink);
-  }
-  const auto steady_allocs = alloc_count() - a0;
-  EXPECT_ZERO(steady_allocs, "steady-state sketch-plane allocations");
-  std::printf("sketch plane: %d warm iterations, %llu allocations (sink=%llu)\n",
-              kMeasureIters, static_cast<unsigned long long>(steady_allocs),
-              static_cast<unsigned long long>(sink));
 
   // Full-engine regression guard: the registry/pool representation must
   // keep allocations-per-superstep far below the pre-registry ~290 (see

@@ -1,5 +1,5 @@
-// LabelRegistry + SketchPool integrity: slot recycling across occupants,
-// sorted touched-list iteration, capacity retention, pool reuse, builder
+// LabelRegistry integrity: slot recycling across occupants, sorted
+// touched-list iteration, capacity retention, sampler reuse, builder
 // rebinding — and determinism of the registry-backed Borůvka engine across
 // thread counts {1, 2, 8}.
 
@@ -136,60 +136,27 @@ TEST(LabelRegistry, ResetUniverseEmptiesAndResizes) {
   EXPECT_EQ(reg.size(), 1u);
 }
 
-TEST(SketchPool, RecyclesStorageAndZeroes) {
-  const std::uint64_t universe = 1 << 16;
-  const auto params = L0Params::for_universe(universe);
-  SketchPool pool;
-
-  L0Sampler& first = pool.acquire(universe, params, 11);
-  first.update(42, 1);
-  EXPECT_FALSE(first.is_zero());
-  const L0Sampler* address = &first;
-  EXPECT_EQ(pool.in_use(), 1u);
-
-  pool.release_all();
-  EXPECT_EQ(pool.in_use(), 0u);
-  EXPECT_EQ(pool.capacity(), 1u);
-
-  // Same shape, new seed: same object recycled, zeroed, rebound.
-  L0Sampler& second = pool.acquire(universe, params, 13);
-  EXPECT_EQ(&second, address);
-  EXPECT_TRUE(second.is_zero());
-  EXPECT_EQ(second.seed(), 13u);
-}
-
-TEST(SketchPool, StablePointersAcrossGrowth) {
-  const std::uint64_t universe = 1 << 12;
-  const auto params = L0Params::for_universe(universe);
-  SketchPool pool;
-  const std::uint32_t a = pool.acquire_index(universe, params, 1);
-  L0Sampler* pa = &pool.at(a);
-  for (int i = 0; i < 50; ++i) (void)pool.acquire_index(universe, params, 2);
-  EXPECT_EQ(&pool.at(a), pa);  // growth must not move live accumulators
-  EXPECT_EQ(pool.in_use(), 51u);
-}
-
-TEST(SketchPool, PooledAccumulatorMatchesFreshSketch) {
-  // acquire -> accumulate must equal a from-scratch sketch, across recycling.
+TEST(GraphSketchBuilder, ReusedSinkMatchesFreshSketch) {
+  // reset -> accumulate into one long-lived sampler (the engine's
+  // per-machine accumulator) must equal a from-scratch sketch, across reuse.
   const std::size_t n = 64;
   Rng rng(3);
   const Graph g = gen::gnm(n, 3 * n, rng);
   const DistributedGraph dg(g, VertexPartition::random(n, 4, 5));
-  const GraphSketchBuilder builder(n, 7);
+  GraphSketchBuilder builder(n, 7);
   std::vector<Vertex> part(n / 2);
   std::iota(part.begin(), part.end(), 0);
 
-  SketchPool pool;
-  std::vector<std::uint64_t> scratch;
-  for (int round = 0; round < 3; ++round) {
-    pool.release_all();
-    L0Sampler& pooled = pool.acquire(builder.universe(), builder.params(), builder.seed());
-    builder.accumulate_part(dg, part, kNoWeightLimit, pooled, scratch);
+  L0Sampler reused = builder.empty_sketch();
+  for (const std::uint64_t seed : {7ull, 8ull, 9ull}) {
+    builder.rebind(seed);
+    reused.reset(builder.seed());
+    builder.accumulate_part(dg, part, kNoWeightLimit, reused);
     const L0Sampler fresh = builder.sketch_part(dg, part);
-    WordWriter wp, wf;
-    pooled.serialize(wp);
+    WordWriter wr, wf;
+    reused.serialize(wr);
     fresh.serialize(wf);
-    EXPECT_EQ(std::move(wp).take(), std::move(wf).take());
+    EXPECT_EQ(std::move(wr).take(), std::move(wf).take());
   }
 }
 

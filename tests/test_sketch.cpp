@@ -1,11 +1,13 @@
 // One-sparse recovery cells and the l0-sampler: recovery, linearity,
-// cancellation, serialization, failure rates.
+// cancellation, the trimmed wire image, failure rates — and the build
+// kernel's interleaved fingerprint power table.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
+#include "sketch/graph_sketch.hpp"
 #include "sketch/l0_sampler.hpp"
 #include "util/prime_field.hpp"
 #include "util/random.hpp"
@@ -334,6 +336,182 @@ TEST(L0, WireBitsMatchParams) {
             static_cast<std::uint64_t>(params.cells()) * OneSparseCell::wire_bits(kUniverse));
   // O(polylog): a few hundred field elements at most for this universe.
   EXPECT_LT(s.wire_bits(), 50'000u);
+}
+
+// -- trimmed wire image --------------------------------------------------
+
+// Header word of a 3-copy image with per-copy level counts a, b, c.
+std::uint64_t header3(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+  return a | (b << 8) | (c << 16);
+}
+
+TEST(L0Image, TrimmedImageMatchesFullSketch) {
+  // Seeded random vectors, some with cancellation inside the sketch (an
+  // index added and later removed): the trimmed image must carry exactly
+  // the levels up to each copy's top non-zero one, and both wire paths —
+  // add_serialized and serialize -> deserialize — must reproduce the
+  // in-memory sketch bit for bit.
+  Rng rng(2024);
+  const auto params = L0Params::for_universe(kUniverse);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::uint64_t seed = split(123, trial);
+    L0Sampler s(kUniverse, params, seed);
+    std::map<std::uint64_t, int> live;
+    const int support = static_cast<int>(rng.next_below(120));
+    for (int i = 0; i < support; ++i) {
+      const std::uint64_t idx = rng.next_below(kUniverse);
+      if (live.count(idx) != 0) continue;
+      const int val = rng.next_bool(0.5) ? 1 : -1;
+      s.update(idx, val);
+      live[idx] = val;
+    }
+    if (trial % 2 == 1) {
+      // Cancel every index sitting on some copy's top level: the image
+      // must shrink to the levels the survivors still occupy.
+      for (int c = 0; c < params.copies; ++c) {
+        int top = -1;
+        for (const auto& [idx, val] : live) top = std::max(top, s.level_of(idx, c));
+        for (auto it = live.begin(); it != live.end();) {
+          if (s.level_of(it->first, c) == top) {
+            s.update(it->first, -it->second);
+            it = live.erase(it);
+          } else {
+            ++it;
+          }
+        }
+      }
+    }
+
+    const auto words = wire_words(s);
+    // Expected length from the surviving support alone: 1 header word plus
+    // 3 words per level up to each copy's highest occupied level.
+    std::size_t expect = 1;
+    for (int c = 0; c < params.copies; ++c) {
+      int top = 0;
+      for (const auto& [idx, val] : live) top = std::max(top, s.level_of(idx, c));
+      expect += 3 * static_cast<std::size_t>(top + 1);
+    }
+    EXPECT_EQ(words.size(), expect) << "trial " << trial;
+    EXPECT_LE(words.size(), s.max_image_words());
+
+    // add_serialized(trimmed) == add(full), into a nonzero accumulator.
+    L0Sampler via_wire(kUniverse, params, seed), via_add(kUniverse, params, seed);
+    via_wire.update(7, 1);
+    via_add.update(7, 1);
+    WordReader r(words);
+    via_wire.add_serialized(r);
+    EXPECT_TRUE(r.done());
+    via_add.add(s);
+    EXPECT_EQ(wire_words(via_wire), wire_words(via_add));
+
+    // serialize -> deserialize is the identity.
+    WordReader rd(words);
+    const L0Sampler back = L0Sampler::deserialize(kUniverse, params, seed, rd);
+    EXPECT_TRUE(rd.done());
+    EXPECT_EQ(wire_words(back), words);
+    EXPECT_EQ(back.is_zero(), s.is_zero());
+    const auto sa = s.sample();
+    const auto sb = back.sample();
+    ASSERT_EQ(sa.has_value(), sb.has_value());
+    if (sa.has_value()) {
+      EXPECT_EQ(sa->index, sb->index);
+    }
+  }
+}
+
+TEST(L0Image, EmptySketchIsHeaderPlusLevelZero) {
+  const auto s = make_sampler(3);
+  const auto words = wire_words(s);
+  ASSERT_EQ(words.size(), 1u + 3u * static_cast<std::size_t>(s.params().copies));
+  EXPECT_EQ(words[0], header3(1, 1, 1));
+  for (std::size_t i = 1; i < words.size(); ++i) EXPECT_EQ(words[i], 0u);
+  // The logical size the ledger charges does not shrink with the image.
+  EXPECT_EQ(s.wire_bits(), static_cast<std::uint64_t>(s.params().cells()) *
+                               OneSparseCell::wire_bits(kUniverse));
+}
+
+TEST(L0Image, ImagesReadBackToBackAndWideHeaders) {
+  // Ten copies need a two-word header; images written into one writer must
+  // read back one after another off one reader.
+  const L0Params params = L0Params::for_universe(kUniverse, 10);
+  Rng rng(77);
+  std::vector<L0Sampler> sketches;
+  WordWriter w;
+  for (int i = 0; i < 3; ++i) {
+    sketches.emplace_back(kUniverse, params, 55);
+    for (int j = 0; j < 40 * i; ++j) sketches.back().update(rng.next_below(kUniverse), 1);
+    sketches.back().serialize(w);
+  }
+  const auto words = std::move(w).take();
+  WordReader r(words);
+  for (const auto& expect : sketches) {
+    const L0Sampler got = L0Sampler::deserialize(kUniverse, params, 55, r);
+    EXPECT_EQ(wire_words(got), wire_words(expect));
+  }
+  EXPECT_TRUE(r.done());
+}
+
+TEST(L0ImageDeath, LevelCountAboveLevelsRejected) {
+  auto s = make_sampler(4);
+  const auto levels = static_cast<std::uint64_t>(s.params().levels);
+  // Enough words behind the header that only the count can be at fault.
+  std::vector<std::uint64_t> words(1 + 3 * 3 * (levels + 1), 0);
+  words[0] = header3(1, levels + 1, 1);
+  WordReader r(words);
+  EXPECT_DEATH(s.add_serialized(r), "level count");
+  words[0] = header3(1, 0, 1);  // level 0 is always present
+  WordReader r0(words);
+  EXPECT_DEATH(s.add_serialized(r0), "level count");
+}
+
+TEST(L0ImageDeath, TruncatedImageRejected) {
+  auto s = make_sampler(5);
+  for (std::uint64_t i = 0; i < 50; ++i) s.update(1000 + 37 * i, 1);
+  auto words = wire_words(s);
+  words.pop_back();
+  auto acc = make_sampler(5);
+  WordReader r(words);
+  EXPECT_DEATH(acc.add_serialized(r), "payload underrun");
+  // A header that claims every level, followed by nothing.
+  const std::vector<std::uint64_t> header_only{header3(3, 3, 3)};
+  WordReader rh(header_only);
+  EXPECT_DEATH(acc.add_serialized(rh), "payload underrun");
+}
+
+TEST(L0Image, HostileCountersWrapWithoutOverflow) {
+  // Counter words arrive from the wire: summing extreme s0 values must wrap
+  // (checked under the UBSan job), not overflow a signed integer.
+  std::vector<std::uint64_t> words(1 + 3 * 3, 0);
+  words[0] = header3(1, 1, 1);
+  for (int c = 0; c < 3; ++c) words[1 + 3 * c] = 0x7fffffffffffffffULL;
+  auto acc = make_sampler(6);
+  for (int i = 0; i < 2; ++i) {
+    WordReader r(words);
+    acc.add_serialized(r);
+    EXPECT_TRUE(r.done());
+  }
+  EXPECT_FALSE(acc.is_zero());
+}
+
+// -- build kernel power table ---------------------------------------------
+
+TEST(GraphSketchPowers, InterleavedTableMatchesFieldPow) {
+  // Known answer: the kernel's r_c^(x*n + y) from the interleaved rows
+  // equals direct exponentiation, for every copy, before and after rebind.
+  constexpr std::size_t n = 37;
+  GraphSketchBuilder b(n, 11);
+  for (const std::uint64_t seed : {11ull, 12ull}) {
+    b.rebind(seed);
+    for (int c = 0; c < b.params().copies; ++c) {
+      const std::uint64_t r = L0Sampler::fingerprint_base_for(seed, c);
+      for (Vertex x = 0; x < n; ++x) {
+        for (Vertex y = x + 1; y < n; ++y) {
+          ASSERT_EQ(b.edge_power(x, y, c), fp::pow(r, static_cast<std::uint64_t>(x) * n + y))
+              << "copy " << c << " edge (" << x << ", " << y << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(L0Death, MismatchedCombineRejected) {

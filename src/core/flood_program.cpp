@@ -11,43 +11,10 @@ namespace kmm {
 namespace {
 constexpr std::uint32_t kTagFlood = 1;
 constexpr std::uint32_t kTagCtrl = 2;
-
-/// Same machine-local fixpoint as the lambda engine: push labels of dirty
-/// vertices through the hosted subgraph; only machine-owned cells are
-/// written, so concurrent per-machine handlers stay race-free.
-void local_propagate(const DistributedGraph& dg, MachineId machine,
-                     std::vector<Label>& labels, std::vector<char>& changed,
-                     std::deque<Vertex>& queue) {
-  while (!queue.empty()) {
-    const Vertex v = queue.front();
-    queue.pop_front();
-    for (const auto& he : dg.neighbors(v)) {
-      if (dg.home(he.to) != machine) continue;
-      if (labels[v] < labels[he.to]) {
-        labels[he.to] = labels[v];
-        changed[he.to] = 1;
-        queue.push_back(he.to);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 FloodProgram::FloodProgram(const DistributedGraph& dg, MachineId k)
-    : dg_(&dg),
-      k_(k),
-      label_bits_(bits_for(std::max<std::uint64_t>(dg.num_vertices(), 2))) {
-  const std::size_t n = dg.num_vertices();
-  labels_.resize(n);
-  for (Vertex v = 0; v < n; ++v) labels_[v] = v;
-  changed_.assign(n, 1);
-  sent_.assign(k, 0);
-  done_.assign(k, 0);
-  steps_.assign(k, 0);
-  queue_.resize(k);
-  boundary_.resize(k);
-}
+    : k_(k), kernel_(dg), sent_(k, 0), done_(k, 0), steps_(k, 0) {}
 
 bool FloodProgram::done() const {
   return std::all_of(done_.begin(), done_.end(), [](char d) { return d != 0; });
@@ -55,32 +22,24 @@ bool FloodProgram::done() const {
 
 void FloodProgram::on_superstep(MachineId self, std::span<const Message> inbox,
                                 Outbox& out) {
-  auto& q = queue_[self];
   bool active_prev = sent_[self] != 0;
   if (steps_[self] == 0) {
     // First superstep: seed the local fixpoint from every hosted vertex
     // (all changed bits start set). Nothing arrived yet and termination is
     // impossible before at least one exchange.
-    q.assign(dg_->vertices_of(self).begin(), dg_->vertices_of(self).end());
-    local_propagate(*dg_, self, labels_, changed_, q);
+    kernel_.seed(self);
     active_prev = true;
   } else {
+    kernel_.prepare(self);
     for (const Message& msg : inbox) {
       if (msg.tag == kTagCtrl) {
         active_prev = active_prev || msg.payload()[0] != 0;
         continue;
       }
-      KMM_DCHECK(msg.tag == kTagFlood && msg.payload_words() >= 2);
-      const auto v = static_cast<Vertex>(msg.payload()[0]);
-      KMM_CHECK_MSG(dg_->home(v) == self, "flood label for a vertex homed elsewhere");
-      const Label label = msg.payload()[1];
-      if (label < labels_[v]) {
-        labels_[v] = label;
-        changed_[v] = 1;
-        q.push_back(v);
-      }
+      KMM_DCHECK(msg.tag == kTagFlood);
+      kernel_.receive(self, msg);
     }
-    local_propagate(*dg_, self, labels_, changed_, q);
+    kernel_.propagate(self);
   }
 
   if (!active_prev) {
@@ -92,29 +51,11 @@ void FloodProgram::on_superstep(MachineId self, std::span<const Message> inbox,
     return;
   }
 
-  // Boundary exchange: minimum candidate label per remote target among the
-  // hosted vertices that changed, in deterministic ascending order.
-  auto& cand = boundary_[self];
-  cand.clear();
-  for (const Vertex v : dg_->vertices_of(self)) {
-    if (!changed_[v]) continue;
-    for (const auto& he : dg_->neighbors(v)) {
-      if (dg_->home(he.to) == self) continue;
-      cand.emplace_back(he.to, labels_[v]);
-    }
-  }
-  for (const Vertex v : dg_->vertices_of(self)) changed_[v] = 0;
-  std::sort(cand.begin(), cand.end());
-  cand.erase(std::unique(cand.begin(), cand.end(),
-                         [](const auto& a, const auto& b) { return a.first == b.first; }),
-             cand.end());
-  sent_[self] = cand.empty() ? 0 : 1;
-  for (const auto& [target, label] : cand) {
-    out.send(dg_->home(target), kTagFlood, {target, label}, 2 * label_bits_);
-  }
-  // Convergence plane: broadcast this superstep's activity flag. Replaces
-  // the lambda engine's or-reduce steps — flattened into the data superstep
-  // so the program stays uniform (and therefore resumable).
+  // Boundary exchange, then the convergence plane: broadcast this
+  // superstep's activity flag. Replaces the lambda engine's or-reduce
+  // steps — flattened into the data superstep so the program stays uniform
+  // (and therefore resumable).
+  sent_[self] = kernel_.exchange(self, out, kTagFlood) != 0 ? 1 : 0;
   const auto flag = static_cast<std::uint64_t>(sent_[self]);
   for (MachineId j = 0; j < k_; ++j) {
     if (j != self) out.send(j, kTagCtrl, {flag}, 1);
@@ -126,22 +67,14 @@ void FloodProgram::snapshot(MachineId m, WordWriter& out) {
   out.u64(steps_[m]);
   out.u64(static_cast<std::uint64_t>(sent_[m]));
   out.u64(static_cast<std::uint64_t>(done_[m]));
-  for (const Vertex v : dg_->vertices_of(m)) {
-    out.u64(labels_[v]);
-    out.u64(static_cast<std::uint64_t>(changed_[v]));
-  }
+  kernel_.snapshot(m, out);
 }
 
 void FloodProgram::restore(MachineId m, WordReader& in) {
   steps_[m] = in.u64();
   sent_[m] = static_cast<char>(in.u64());
   done_[m] = static_cast<char>(in.u64());
-  for (const Vertex v : dg_->vertices_of(m)) {
-    labels_[v] = in.u64();
-    changed_[v] = static_cast<char>(in.u64());
-  }
-  queue_[m].clear();
-  boundary_[m].clear();
+  kernel_.restore(m, in);
 }
 
 ResumableFloodResult resumable_flood_connectivity(Cluster& cluster,

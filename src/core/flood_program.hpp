@@ -23,14 +23,21 @@
 // The extra k(k-1) one-bit control messages per superstep are this
 // engine's ledger signature; it is costed like the or-reduce it replaces,
 // just flattened into the data supersteps.
+//
+// Propagation and boundary exchange are the FloodKernel
+// (core/flood_kernel.hpp) that flooding_connectivity runs too, so the two
+// engines differ only in that convergence protocol. The kernel builds each
+// machine's index in the machine's first handler call, including the first
+// step after a restore; the snapshot words (label, changed bit per hosted
+// vertex in vertices_of order) are unchanged from before the kernel, so
+// frames written then still load.
 
 #include <cstdint>
-#include <deque>
-#include <utility>
 #include <vector>
 
 #include "cluster/distributed_graph.hpp"
 #include "core/common.hpp"
+#include "core/flood_kernel.hpp"
 #include "obs/obs_sink.hpp"
 #include "runtime/machine_program.hpp"
 
@@ -52,28 +59,23 @@ class FloodProgram final : public MachineProgram {
   void restore(MachineId m, WordReader& in) override;
   [[nodiscard]] std::uint64_t state_version() const override { return kStateVersion; }
 
-  [[nodiscard]] const std::vector<Label>& labels() const noexcept { return labels_; }
+  /// Every vertex's current label, gathered from the machines.
+  [[nodiscard]] std::vector<Label> labels() const { return kernel_.labels(); }
   /// Supersteps executed, counted across process lifetimes (restored from
   /// frames), so a resumed run reports the same total as an uninterrupted
   /// one.
   [[nodiscard]] std::uint64_t supersteps() const noexcept { return steps_.empty() ? 0 : steps_[0]; }
 
  private:
-  const DistributedGraph* dg_;
   MachineId k_;
-  std::uint64_t label_bits_;
 
-  // Machine-partitioned shared state (rule 2): labels_[v]/changed_[v] are
-  // touched only by the handler of dg.home(v); the per-machine vectors only
-  // by handler m at index m. Serialized state is everything a handler reads
-  // across steps; queue_/boundary_ are drained within one step (scratch).
-  std::vector<Label> labels_;
-  std::vector<char> changed_;
+  // Machine-partitioned state (rule 2): the kernel's state of machine m and
+  // the per-machine vectors at index m are touched only by handler m.
+  // Serialized state is everything a handler reads across steps.
+  FloodKernel kernel_;
   std::vector<char> sent_;              // [m] flag broadcast last superstep
   std::vector<char> done_;              // [m] fixpoint observed
   std::vector<std::uint64_t> steps_;    // [m] supersteps executed (lockstep)
-  std::vector<std::deque<Vertex>> queue_;                       // scratch
-  std::vector<std::vector<std::pair<Vertex, Label>>> boundary_; // scratch
 };
 
 /// Driver config/result mirroring FloodingConfig/FloodingResult; `fault`

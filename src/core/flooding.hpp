@@ -11,12 +11,17 @@
 // and per (target vertex, round) the sender aggregates to the minimum
 // candidate label (legal local preprocessing).
 //
+// Both flooding engines — this one and the resumable FloodProgram
+// (core/flood_program.hpp) — run the same FloodKernel
+// (core/flood_kernel.hpp) for propagation and boundary exchange. They
+// differ only in their convergence protocol: this engine follows each
+// exchange with an or-reduce of the machines' sent bits, FloodProgram
+// broadcasts a per-step activity flag inside the data superstep.
+//
 // Execution: each boundary-exchange iteration is one Runtime superstep
 // handler — with config.threads > 1 the k machines' local fixpoints and
-// boundary aggregation run concurrently. The shared labels/changed vectors
-// are only ever written at machine-owned indices (asserted), so the
-// handlers are race-free; the cluster ledger is bit-identical for every
-// thread count.
+// boundary aggregation run concurrently on machine-private kernel state;
+// the cluster ledger is bit-identical for every thread count.
 
 #include <vector>
 
@@ -28,10 +33,6 @@ namespace kmm {
 class FaultPlane;
 
 struct FloodingConfig {
-  /// Caps the boundary-exchange iteration count (0 = n+1, always
-  /// sufficient: the smallest label needs at most one superstep per
-  /// boundary hop).
-  std::uint64_t max_supersteps = 0;
   /// Worker threads for per-machine local computation (1 = sequential,
   /// 0 = hardware concurrency; clamped to k). Results and the cluster
   /// ledger are identical for every value.
@@ -62,10 +63,5 @@ struct FloodingResult {
 [[nodiscard]] FloodingResult flooding_connectivity(Cluster& cluster,
                                                    const DistributedGraph& dg,
                                                    const FloodingConfig& config = {});
-
-/// Back-compat shim for callers that only cap the iteration count.
-[[nodiscard]] FloodingResult flooding_connectivity(Cluster& cluster,
-                                                   const DistributedGraph& dg,
-                                                   std::uint64_t max_supersteps);
 
 }  // namespace kmm

@@ -53,10 +53,11 @@
 //      free superstep (no ledger effect), so pure collection/local-compute
 //      steps cost nothing.
 //   3. Shared state must become machine-indexed: state[i] (or labels[v]
-//      with home(v) == i) is written only by handler i. Flooding's shared
-//      labels/changed vectors follow this partition and assert it on the
-//      receive path; anything genuinely cross-machine must be atomic and
-//      only read between steps (see finished_ in the Borůvka engine).
+//      with home(v) == i) is written only by handler i. Flooding keeps each
+//      machine's labels in machine-private FloodKernel state and asserts
+//      the partition on the receive path; anything genuinely cross-machine
+//      must be atomic and only read between steps (see finished_ in the
+//      Borůvka engine).
 //   4. One-word control-plane steps (OR/sum reduces, verdict broadcasts,
 //      single-machine referee solves) pass StepMode::kInline — the barrier
 //      would cost more than the handler work, and the modes are

@@ -19,8 +19,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <span>
 #include <string>
@@ -308,6 +310,76 @@ TEST(DurablePlane, FloodConnectivityResumesBitIdentically) {
     EXPECT_EQ(res.supersteps, clean.supersteps);  // counted across lifetimes
     EXPECT_EQ(ledger_words(cluster.stats()), clean_ledger) << "threads=" << threads;
   }
+}
+
+// ------------------------------------ golden ledger of the resumable flood
+
+// resumable_flood_connectivity's ledger on the path/gnm/rmat trio of
+// test_golden_stats.cpp (k = 8, partition seed 99), pinned per thread
+// count. The resume tests above only compare a resumed run with an
+// uninterrupted one, so they cannot see a ledger shift that moves both.
+// To regenerate after an *intentional* accounting change, run
+//   KMM_PRINT_GOLDEN=1 ./kmm_tests --gtest_filter='DurablePlane.FloodProgramLedger*'
+struct FloodGoldenRow {
+  const char* graph;
+  std::uint64_t rounds;
+  std::uint64_t supersteps;
+  std::uint64_t messages;
+  std::uint64_t total_bits;
+};
+
+// clang-format off
+constexpr FloodGoldenRow kFloodGolden[] = {
+    {"path", 3489u, 526u, 288288u, 9818704u},
+    {"gnm", 90u, 6u, 10766u, 381192u},
+    {"rmat", 45u, 5u, 4654u, 162224u},
+};
+// clang-format on
+
+TEST(DurablePlane, FloodProgramLedgerMatchesGoldenValues) {
+  std::vector<std::pair<const char*, Graph>> graphs;
+  graphs.emplace_back("path", gen::path(600));
+  Rng rng_gnm(7);
+  graphs.emplace_back("gnm", gen::gnm(800, 2400, rng_gnm));
+  Rng rng_rmat(11);
+  graphs.emplace_back("rmat", gen::rmat(1024, 3000, rng_rmat));
+  const bool capture = std::getenv("KMM_PRINT_GOLDEN") != nullptr;
+  const MachineId k = 8;
+
+  ASSERT_EQ(std::size(kFloodGolden), graphs.size());
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const auto& [name, g] = graphs[gi];
+    const std::size_t n = g.num_vertices();
+    const DistributedGraph dg(g, VertexPartition::random(n, k, 99));
+    const auto ref_labels = ref::component_labels(g);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      Cluster cluster(ClusterConfig::for_graph(n, k));
+      ResumableFloodConfig cfg;
+      cfg.threads = threads;
+      const ResumableFloodResult res = resumable_flood_connectivity(cluster, dg, cfg);
+      ASSERT_TRUE(res.converged) << name << " threads=" << threads;
+      EXPECT_TRUE(std::equal(res.labels.begin(), res.labels.end(), ref_labels.begin(),
+                             ref_labels.end()))
+          << name << " threads=" << threads;
+      const ClusterStats& s = cluster.stats();
+      if (capture) {
+        if (threads == 1) {
+          std::printf("    {\"%s\", %lluu, %lluu, %lluu, %lluu},\n", name,
+                      static_cast<unsigned long long>(s.rounds),
+                      static_cast<unsigned long long>(s.supersteps),
+                      static_cast<unsigned long long>(s.messages),
+                      static_cast<unsigned long long>(s.total_bits));
+        }
+        continue;
+      }
+      const FloodGoldenRow& want = kFloodGolden[gi];
+      EXPECT_EQ(s.rounds, want.rounds) << name << " threads=" << threads;
+      EXPECT_EQ(s.supersteps, want.supersteps) << name << " threads=" << threads;
+      EXPECT_EQ(s.messages, want.messages) << name << " threads=" << threads;
+      EXPECT_EQ(s.total_bits, want.total_bits) << name << " threads=" << threads;
+    }
+  }
+  if (capture) GTEST_SKIP() << "printed " << graphs.size() << " golden rows (capture mode)";
 }
 
 // --------------------------------------------- corruption at rest (CRC)
